@@ -12,10 +12,11 @@
 //! * [`ClusterBuilder`] — mirrors `gpu_sim`'s `SimBuilder`: fidelity tier,
 //!   per-device scheduler, slot count, jitter, worker count, probe
 //!   observers; [`ClusterBuilder::run`] produces a [`ClusterReport`].
-//! * Devices execute on the sweep engine's [`crate::sweep::par_map`] pool.
-//!   Per-device RNG seeds hash from the workload cell and device index —
-//!   never the routing policy — so policy comparisons are paired and the
-//!   report is bit-identical for any worker count.
+//! * One engine runs every cell: a time-ordered pass over fault
+//!   transitions, arrivals and retries. Per-device RNG seeds hash from the
+//!   workload cell and device index — never the routing policy — so policy
+//!   comparisons are paired and the report is bit-identical for any worker
+//!   count.
 //! * Latency tails stream through [`StreamingQuantiles`] (p50/p99/p999),
 //!   merged across devices in device-index order, so a million-job run
 //!   reports SLO attainment without holding a million samples.
@@ -26,30 +27,34 @@
 //! # Fidelity tiers
 //!
 //! The **fast** tier (default) runs each device as the calibrated queueing
-//! model in [`gpu_sim::fleet`]; a 16-device, million-job grid completes in
-//! seconds. The **detailed** tier materializes every routed job's kernel
-//! chain and runs a full [`gpu_sim::sim::Simulation`] per device under a
-//! registry scheduler (default LAX) — used for smokes and fidelity
+//! model in [`gpu_sim::fleet`] ([`SlotModel`]), executed inline as jobs
+//! are booked; a 16-device, million-job grid completes in seconds. The
+//! **detailed** tier materializes every surviving booking's kernel chain
+//! and runs a full [`gpu_sim::sim::Simulation`] per device under a
+//! registry scheduler (default LAX), devices fanned out on the sweep
+//! engine's [`crate::sweep::par_map`] pool — used for smokes and fidelity
 //! cross-checks at small job counts.
 //!
 //! # Failure domains
 //!
 //! A [`FleetFaultPlan`] (from [`ClusterScenario::fault_seed`] at intensity
-//! `:fI`, or injected via [`ClusterBuilder::fleet_faults`]) switches
-//! [`ClusterBuilder::run`] to the chaos engine: one time-ordered pass
-//! interleaving fault transitions, arrivals and deadline-aware retries.
+//! `:fI`, or injected via [`ClusterBuilder::fleet_faults`]) feeds the
+//! engine's fault transitions and deadline-aware retries; a fault-free
+//! cell runs with the empty plan.
 //! Crashes lose in-flight work (recovered through the front door while
 //! some survivor's predicted laxity admits it, bounded by
 //! [`ClusterBuilder::retry_budget`]); drains stop new placements; straggler
 //! windows stretch service; correlated outages down whole device blocks.
 //! Every job ends completed, rejected, shed or lost, and the probe bus
 //! narrates `DeviceDown`/`DeviceRestored`/`JobRetried`/`JobShed`. A no-op
-//! plan is bit-identical to the fault-free path, and reports remain
-//! bit-identical for any worker count.
+//! plan is bit-identical to the empty one, and reports remain
+//! bit-identical for any worker count. A booking is held only while a
+//! later crash of its device could still claim it; once no crash is
+//! ahead, it resolves as it is made, so a fault-free run holds none.
 //!
 //! # Observability
 //!
-//! Both run paths narrate themselves over the probe bus: routing verdicts
+//! The engine narrates itself over the probe bus: routing verdicts
 //! live in arrival order, then — after devices execute — one
 //! `JobCompleted` per finished job and exactly one `JobMissed` (typed by
 //! [`MissCause`]) per job that did not make its deadline, merged into one
@@ -562,19 +567,23 @@ impl ClusterBuilder {
     }
 
     /// Concurrent service slots per device, for the router's free-time
-    /// model and the fast tier's servers.
+    /// model and the fast tier's servers. Must be at least 1
+    /// ([`ClusterBuilder::run`] fails with [`BenchError::FleetConfig`]).
     pub fn slots(mut self, slots: usize) -> Self {
         self.slots = slots;
         self
     }
 
     /// Half-width of the fast tier's uniform service-jitter multiplier.
+    /// Must lie in `[0, 1)` ([`ClusterBuilder::run`] fails with
+    /// [`BenchError::FleetConfig`]).
     pub fn jitter(mut self, jitter: f64) -> Self {
         self.jitter = jitter;
         self
     }
 
-    /// Worker threads devices are fanned across. The report is
+    /// Worker threads detailed-tier devices are fanned across (fast-tier
+    /// devices execute inline in the engine's single pass). The report is
     /// bit-identical for any value (device seeds never depend on workers).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -587,8 +596,8 @@ impl ClusterBuilder {
     /// [`ProbeEvent::JobRejected`] or [`ProbeEvent::JobShed`] per arrival
     /// and one [`ProbeEvent::JobRetried`] per recovered placement,
     /// delivered live in arrival order; [`ProbeEvent::DeviceDown`] /
-    /// [`ProbeEvent::DeviceRestored`] at each fleet health transition
-    /// (chaos path only); then, once devices have executed, one
+    /// [`ProbeEvent::DeviceRestored`] at each fleet health transition;
+    /// then, once devices have executed, one
     /// [`ProbeEvent::JobCompleted`] per run-to-completion job and exactly
     /// one [`ProbeEvent::JobMissed`] (typed by [`MissCause`]) per job that
     /// did not make its deadline, merged across devices into a single
@@ -641,21 +650,26 @@ impl ClusterBuilder {
     /// Routes the arrival stream and executes every device, returning the
     /// merged [`ClusterReport`].
     ///
-    /// With an empty fleet fault plan this is the exact two-phase path
-    /// (route everything, then execute devices in parallel); under faults
-    /// it is the time-ordered chaos engine interleaving fault transitions,
-    /// arrivals and retries. The dispatch is on the *plan*, so an
-    /// intensity-0 scenario is bit-identical to one that never mentions
-    /// faults.
+    /// One engine serves every cell: a time-ordered pass interleaving the
+    /// fleet fault plan's transitions, arrivals and retries. A fault-free
+    /// cell runs it with the empty plan, so an intensity-0 scenario is
+    /// bit-identical to one that never mentions faults. Fast-tier devices
+    /// execute inline as jobs are booked; detailed-tier devices then
+    /// simulate their surviving bookings on the worker pool.
     ///
     /// # Errors
     ///
     /// [`BenchError::UnknownPolicy`] for routing policies outside the
-    /// registry; [`BenchError::FleetFault`] for an ill-formed fault plan;
+    /// registry; [`BenchError::FleetConfig`] for zero
+    /// [`slots`](Self::slots) or a [`jitter`](Self::jitter) outside
+    /// `[0, 1)`; [`BenchError::FleetFault`] for an ill-formed fault plan;
     /// [`BenchError::UnknownScheduler`] / [`BenchError::Sim`] from
     /// detailed-tier devices.
     pub fn run(&self) -> Result<ClusterReport, BenchError> {
         let policy = routing::try_build(&self.scenario.policy)?;
+        // The per-device seed is filled in by the engine.
+        let params = FastDeviceParams { slots: self.slots, jitter: self.jitter, seed: 0 };
+        params.validate()?;
         let suite = BenchmarkSuite::calibrated();
         let jobs = generate_cluster_jobs(&self.scenario, suite);
         let plan = match &self.fleet_faults {
@@ -676,24 +690,33 @@ impl ClusterBuilder {
             }
             None => FleetFaultPlan::none(),
         };
-        if plan.is_none() {
-            self.run_plain(policy, jobs, suite)
-        } else {
-            plan.validate(self.scenario.devices as u32)?;
-            self.run_chaos(policy, jobs, suite, &plan)
-        }
+        plan.validate(self.scenario.devices as u32)?;
+        self.run_fleet(policy, params, jobs, suite, &plan)
     }
 
-    /// The fault-free two-phase path: route the whole stream, then execute
-    /// devices on the worker pool.
-    fn run_plain(
+    /// The fleet engine: one time-ordered pass interleaving fleet fault
+    /// transitions, job arrivals and retries. Deterministic global order:
+    /// by instant, then kind (fault transitions < arrivals < retries),
+    /// then stream/schedule position — so the run is a pure function of
+    /// the cell and plan, independent of worker count.
+    ///
+    /// Every device books through a [`SlotModel`]. The fast tier executes
+    /// bookings inline, jittered and straggler-stretched. The detailed tier
+    /// uses the model (un-jittered) only to decide crash losses, then
+    /// materializes each device's surviving bookings as a full
+    /// [`Simulation`] with the device's straggler windows translated to
+    /// [`Slowdown`] faults.
+    fn run_fleet(
         &self,
         policy: routing::RoutePolicy,
+        params: FastDeviceParams,
         jobs: Vec<ClusterJob>,
         suite: &BenchmarkSuite,
+        plan: &FleetFaultPlan,
     ) -> Result<ClusterReport, BenchError> {
         let deadline = self.scenario.bench.deadline();
         let n = self.scenario.devices;
+        let detailed = self.fidelity == Fidelity::Detailed;
         // P2C's sampling stream is seeded from the cell, not the policy
         // string, so the job trace and all derived seeds stay paired.
         let mut router = Router::new(policy, n, self.slots, self.scenario.cell_seed());
@@ -701,277 +724,21 @@ impl ClusterBuilder {
         for obs in &self.observers {
             hub.attach(Box::new(Arc::clone(obs)));
         }
-        let mut per_device: Vec<Vec<ClusterJob>> = vec![Vec::new(); n];
-        let mut rejected = 0u64;
-        for job in &jobs {
-            let req =
-                RouteRequest { arrival: job.arrival, service_est: job.service_est, deadline };
-            match router.route(&req) {
-                RouteDecision::Route { device, predicted_wait, laxity_us } => {
-                    hub.emit_with(job.arrival, || ProbeEvent::JobRouted {
-                        job: JobId(job.id),
-                        device: device as u16,
-                        predicted_wait_us: predicted_wait.as_us_f64(),
-                        laxity_us,
-                    });
-                    per_device[device].push(*job);
-                }
-                RouteDecision::Reject { laxity_us } => {
-                    hub.emit_with(job.arrival, || ProbeEvent::JobRejected {
-                        job: JobId(job.id),
-                        laxity_us,
-                    });
-                    hub.emit_with(job.arrival, || ProbeEvent::JobMissed {
-                        job: JobId(job.id),
-                        device: None,
-                        cause: MissCause::FrontDoorReject,
-                    });
-                    rejected += 1;
-                }
-                RouteDecision::NoDevice => {
-                    unreachable!("all devices are Up on the fault-free path")
-                }
-            }
-        }
-        drop(jobs);
         let collect = hub.is_active();
-        let indices: Vec<usize> = (0..n).collect();
-        let slices = par_map(&indices, self.workers, |&d| {
-            self.run_device(&self.scenario, d, &per_device[d], deadline, suite, collect)
-        });
-        // Merge in device-index order: StreamingQuantiles counts merge
-        // order-independently but the mean's f64 sum does not, and the
-        // report must be bit-identical across worker counts.
-        let mut latency_us = StreamingQuantiles::new();
-        let mut completed = 0u64;
-        let mut met = 0u64;
-        let mut device_rejected = 0u64;
-        let mut makespan = Duration::ZERO;
-        let mut events = 0u64;
-        let mut misses = MissBreakdown::default();
-        let mut outcome_events: Vec<OutcomeEvent> = Vec::new();
-        let mut per_device_jobs = Vec::with_capacity(n);
-        for slice in slices {
-            let s = slice?;
-            latency_us.merge(&s.latency_us);
-            completed += s.completed;
-            met += s.met;
-            device_rejected += s.device_rejected;
-            makespan = makespan.max(s.makespan);
-            events += s.events;
-            misses.merge(&s.misses);
-            outcome_events.extend(s.outcomes);
-            per_device_jobs.push(s.jobs);
-        }
-        misses.add_n(MissCause::FrontDoorReject, rejected);
-        emit_outcomes(&mut hub, outcome_events);
-        Ok(ClusterReport {
-            scenario: self.scenario.clone(),
-            fidelity: self.fidelity,
-            total: self.scenario.n_jobs as u64,
-            rejected,
-            device_rejected,
-            completed,
-            met,
-            lost: 0,
-            retried: 0,
-            shed: 0,
-            misses,
-            latency_us,
-            per_device_jobs,
-            makespan,
-            events,
-        })
-    }
-
-    /// Executes device `d` over its routed jobs at the selected fidelity.
-    /// With `collect` set, every completion and deadline miss is also
-    /// buffered as an [`OutcomeEvent`] for post-merge delivery.
-    fn run_device(
-        &self,
-        scenario: &ClusterScenario,
-        d: usize,
-        jobs: &[ClusterJob],
-        deadline: Duration,
-        suite: &BenchmarkSuite,
-        collect: bool,
-    ) -> Result<DeviceSlice, BenchError> {
-        match self.fidelity {
-            Fidelity::Fast => {
-                let fleet: Vec<FleetJob> = jobs
-                    .iter()
-                    .map(|j| FleetJob {
-                        id: j.id,
-                        arrival: j.arrival,
-                        service_est: j.service_est,
-                        deadline,
-                    })
-                    .collect();
+        let mut devs: Vec<FleetDevice> = (0..n)
+            .map(|d| {
                 let params = FastDeviceParams {
-                    slots: self.slots,
-                    jitter: self.jitter,
-                    seed: scenario.device_seed(d),
+                    jitter: if detailed { 0.0 } else { params.jitter },
+                    seed: self.scenario.device_seed(d),
+                    ..params
                 };
-                let report = run_fast_device(&fleet, &params);
-                let mut latency_us = StreamingQuantiles::new();
-                let mut met = 0u64;
-                let mut misses = MissBreakdown::default();
-                let mut outcomes = Vec::new();
-                for o in &report.outcomes {
-                    latency_us.push(o.latency.as_us_f64());
-                    met += u64::from(o.met);
-                    let cause = (!o.met).then(|| {
-                        // Late, but the service itself fit the deadline
-                        // budget: the job died waiting for a slot.
-                        if o.completion.saturating_since(o.start) <= deadline {
-                            MissCause::QueueingDelay
-                        } else {
-                            MissCause::ServiceTime
-                        }
-                    });
-                    if let Some(cause) = cause {
-                        misses.add(cause);
-                    }
-                    if collect {
-                        outcomes.push(OutcomeEvent {
-                            at: o.completion,
-                            job: o.id,
-                            kind: 0,
-                            event: ProbeEvent::JobCompleted {
-                                job: JobId(o.id),
-                                device: d as u16,
-                                latency_us: o.latency.as_us_f64(),
-                                met: o.met,
-                            },
-                        });
-                        if let Some(cause) = cause {
-                            outcomes.push(OutcomeEvent {
-                                at: o.completion,
-                                job: o.id,
-                                kind: 1,
-                                event: ProbeEvent::JobMissed {
-                                    job: JobId(o.id),
-                                    device: Some(d as u16),
-                                    cause,
-                                },
-                            });
-                        }
-                    }
-                }
-                Ok(DeviceSlice {
-                    latency_us,
-                    completed: jobs.len() as u64,
-                    met,
-                    device_rejected: 0,
-                    makespan: report.makespan.saturating_since(Cycle::ZERO),
-                    events: report.events,
-                    jobs: jobs.len() as u64,
-                    misses,
-                    outcomes,
-                })
-            }
-            Fidelity::Detailed => {
-                if jobs.is_empty() {
-                    return Ok(DeviceSlice::default());
-                }
-                let descs: Vec<JobDesc> = jobs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, j)| {
-                        materialize_job(suite, scenario.bench, j.spec, i as u32, deadline, j.arrival)
-                    })
-                    .collect();
-                let mode = registry::try_build(&self.device_scheduler)?;
-                let mut sim = Simulation::builder()
-                    .offline_rates(suite.offline_rates())
-                    .jobs(descs)
-                    .scheduler(mode)
-                    .build()?;
-                let report = sim.try_run().map_err(BenchError::Sim)?;
-                let mut latency_us = StreamingQuantiles::new();
-                let mut misses = MissBreakdown::default();
-                let mut outcomes = Vec::new();
-                for r in &report.records {
-                    if let Some(lat) = r.latency() {
-                        latency_us.push(lat.as_us_f64());
-                    }
-                    // Local ids were assigned by enumeration, so the
-                    // record maps straight back to the cluster job.
-                    let job = &jobs[r.id.0 as usize];
-                    attribute_detailed(
-                        r,
-                        &DetailedJob {
-                            cluster_id: job.id,
-                            service_est: job.service_est,
-                            deadline,
-                            device: d as u16,
-                            requeue: Duration::ZERO,
-                        },
-                        &mut misses,
-                        collect.then_some(&mut outcomes),
-                    );
-                }
-                Ok(DeviceSlice {
-                    latency_us,
-                    completed: report.completed() as u64,
-                    met: report.deadlines_met() as u64,
-                    device_rejected: report.rejected() as u64,
-                    makespan: report.makespan,
-                    events: report.events,
-                    jobs: jobs.len() as u64,
-                    misses,
-                    outcomes,
-                })
-            }
-        }
-    }
-}
-
-impl ClusterBuilder {
-    /// The chaos engine: one time-ordered pass interleaving fleet fault
-    /// transitions, job arrivals and retries. Deterministic global order:
-    /// by instant, then kind (fault transitions < arrivals < retries),
-    /// then stream/schedule position — so the run is a pure function of
-    /// the cell and plan, independent of worker count.
-    ///
-    /// The fast tier executes bookings inline against per-device slot
-    /// models with the same jitter stream and arithmetic as
-    /// [`run_fast_device`], so a plan whose only effect is a no-op (e.g.
-    /// factor-1.0 stragglers) reproduces the fault-free report
-    /// bit-identically. The detailed tier uses the slot model (un-jittered)
-    /// only to decide crash losses, then materializes each device's
-    /// surviving bookings as a full [`Simulation`] with the device's
-    /// straggler windows translated to [`Slowdown`] faults.
-    fn run_chaos(
-        &self,
-        policy: routing::RoutePolicy,
-        jobs: Vec<ClusterJob>,
-        suite: &BenchmarkSuite,
-        plan: &FleetFaultPlan,
-    ) -> Result<ClusterReport, BenchError> {
-        assert!(self.slots >= 1, "a device needs at least one service slot");
-        assert!(
-            (0.0..1.0).contains(&self.jitter),
-            "jitter must be in [0, 1), got {}",
-            self.jitter
-        );
-        let deadline = self.scenario.bench.deadline();
-        let n = self.scenario.devices;
-        let detailed = self.fidelity == Fidelity::Detailed;
-        let mut router = Router::new(policy, n, self.slots, self.scenario.cell_seed());
-        let mut hub: ProbeHub<ProbeEvent> = ProbeHub::new();
-        for obs in &self.observers {
-            hub.attach(Box::new(Arc::clone(obs)));
-        }
-        let collect = hub.is_active();
-        let mut devs: Vec<ChaosDevice> = (0..n)
-            .map(|d| ChaosDevice::new(d as u16, self.slots, self.scenario.device_seed(d)))
+                FleetDevice::new(d as u16, &params, detailed, collect)
+            })
             .collect();
         // Straggler windows per device, scanned statically at booking time
         // (the schedule is known a priori, so no transition state needed).
-        let mut stragglers: Vec<Vec<(Cycle, Cycle, f64)>> = vec![Vec::new(); n];
         for w in &plan.stragglers {
-            stragglers[w.device as usize].push((w.at, w.until, w.factor));
+            devs[w.device as usize].windows.push((w.at, w.until, w.factor));
         }
         // Health transitions, expanded so correlated outages become one
         // event per member device; `transitions()` order (ends before
@@ -1004,6 +771,11 @@ impl ClusterBuilder {
                     fleet_events.push((t, DevAction::DrainOff(plan.drains[i].device as usize)));
                 }
                 FleetFaultAction::StragglerStart(_) | FleetFaultAction::StragglerEnd(_) => {}
+            }
+        }
+        for &(_, action) in &fleet_events {
+            if let DevAction::Down(d) = action {
+                devs[d].downs_ahead += 1;
             }
         }
         let mut ei = 0usize;
@@ -1045,6 +817,7 @@ impl ClusterBuilder {
                 match $action {
                     DevAction::Down(d) => {
                         let dev = &mut devs[d];
+                        dev.downs_ahead -= 1;
                         dev.down += 1;
                         if dev.down == 1 {
                             let bookings = std::mem::take(&mut dev.bookings);
@@ -1052,11 +825,7 @@ impl ClusterBuilder {
                             for b in bookings {
                                 if b.completion <= t {
                                     // Done before the crash hit.
-                                    if detailed {
-                                        dev.survivors.push(b);
-                                    } else {
-                                        dev.complete(&b, collect);
-                                    }
+                                    dev.resolve(b);
                                 } else {
                                     // In flight or queued: gone with the
                                     // device; retry if budget remains.
@@ -1105,9 +874,7 @@ impl ClusterBuilder {
                             // Restored with an empty queue: both the actual
                             // model and the router's predictions restart at
                             // the restore instant.
-                            for s in &mut dev.slots {
-                                *s = t;
-                            }
+                            dev.model.reset(t);
                             router.reset_device(d, t);
                             let h = if dev.draining > 0 {
                                 DeviceHealth::Draining
@@ -1186,13 +953,7 @@ impl ClusterBuilder {
                                 attempt: job.attempt,
                                 device: device as u16,
                             });
-                            devs[device].book(
-                                self.jitter,
-                                &stragglers[device],
-                                detailed,
-                                at,
-                                &job,
-                            );
+                            devs[device].book(at, &job);
                         }
                         // best_laxity was non-negative, so LL admits and
                         // some device is Up; defensive completeness.
@@ -1260,7 +1021,7 @@ impl ClusterBuilder {
                         attempt: 0,
                         spec: job.spec,
                     };
-                    devs[device].book(self.jitter, &stragglers[device], detailed, t_arr, &retry);
+                    devs[device].book(t_arr, &retry);
                 }
                 RouteDecision::Reject { laxity_us } => {
                     hub.emit_with(t_arr, || ProbeEvent::JobRejected {
@@ -1321,18 +1082,9 @@ impl ClusterBuilder {
                 (None, None) => break,
             }
         }
-        // Everything still booked outlives the fault schedule and
-        // completes.
-        for dev in &mut devs {
-            let bookings = std::mem::take(&mut dev.bookings);
-            for b in bookings {
-                if detailed {
-                    dev.survivors.push(b);
-                } else {
-                    dev.complete(&b, collect);
-                }
-            }
-        }
+        // A held booking waits for its device's next crash, and that crash
+        // resolves it, so the replayed schedule leaves none behind.
+        debug_assert!(devs.iter().all(|dev| dev.bookings.is_empty()));
 
         let mut latency_us = StreamingQuantiles::new();
         let mut completed = 0u64;
@@ -1346,8 +1098,11 @@ impl ClusterBuilder {
                 devs.iter_mut().map(|dev| std::mem::take(&mut dev.survivors)).collect();
             let indices: Vec<usize> = (0..n).collect();
             let slices = par_map(&indices, self.workers, |&d| {
-                self.run_detailed_survivors(d, &survivor_lists[d], &stragglers[d], suite, collect)
+                self.run_detailed_survivors(d, &survivor_lists[d], &devs[d].windows, suite, collect)
             });
+            // Merge in device-index order: StreamingQuantiles counts merge
+            // order-independently but the mean's f64 sum does not, and the
+            // report must be bit-identical across worker counts.
             for (d, slice) in slices.into_iter().enumerate() {
                 let s = slice?;
                 latency_us.merge(&s.latency_us);
@@ -1394,10 +1149,10 @@ impl ClusterBuilder {
         })
     }
 
-    /// Detailed-tier phase 2 under chaos: materialize one device's
-    /// surviving bookings (entry order, deadlines measured from the
-    /// original arrival) as a full simulation, with the device's straggler
-    /// windows applied as whole-device [`Slowdown`] faults.
+    /// Detailed-tier execution: materialize one device's surviving
+    /// bookings (entry order, deadlines measured from the original
+    /// arrival) as a full simulation, with the device's straggler windows
+    /// applied as whole-device [`Slowdown`] faults.
     fn run_detailed_survivors(
         &self,
         d: usize,
@@ -1442,41 +1197,20 @@ impl ClusterBuilder {
             .faults(faults)
             .build()?;
         let report = sim.try_run().map_err(BenchError::Sim)?;
-        let mut latency_us = StreamingQuantiles::new();
-        let mut misses = MissBreakdown::default();
-        let mut outcomes = Vec::new();
-        for r in &report.records {
-            let b = &survivors[r.id.0 as usize];
-            let requeue_delay = b.entry.saturating_since(b.original_arrival);
-            if let Some(lat) = r.latency() {
-                // Latency is arrival-to-completion of the *original* job,
-                // so a retry pays for its first, doomed placement too.
-                latency_us.push(lat.saturating_add(requeue_delay).as_us_f64());
-            }
-            attribute_detailed(
-                r,
-                &DetailedJob {
-                    cluster_id: b.id,
-                    service_est: b.service_est,
-                    deadline: b.deadline_abs.saturating_since(b.original_arrival),
-                    device: d as u16,
-                    requeue: requeue_delay,
-                },
-                &mut misses,
-                collect.then_some(&mut outcomes),
-            );
-        }
-        Ok(DeviceSlice {
-            latency_us,
+        let mut slice = DeviceSlice {
             completed: report.completed() as u64,
             met: report.deadlines_met() as u64,
             device_rejected: report.rejected() as u64,
             makespan: report.makespan,
             events: report.events,
-            jobs: survivors.len() as u64,
-            misses,
-            outcomes,
-        })
+            ..DeviceSlice::default()
+        };
+        for r in &report.records {
+            // Local ids were assigned by enumeration, so the record maps
+            // straight back to its booking.
+            attribute_detailed(r, &survivors[r.id.0 as usize], d as u16, &mut slice, collect);
+        }
+        Ok(slice)
     }
 }
 
@@ -1574,8 +1308,7 @@ fn chaos_lose(
     }
 }
 
-/// One placement on a chaos device, unresolved until the device either
-/// survives past its completion or crashes first.
+/// One placement on a fleet device, held until no crash can claim it.
 #[derive(Debug, Clone, Copy)]
 struct Booking {
     id: u32,
@@ -1596,21 +1329,28 @@ struct Booking {
     spec: ChainSpec,
 }
 
-/// Mutable per-device state of the chaos engine.
+/// Mutable per-device state of the fleet engine.
 #[derive(Debug)]
-struct ChaosDevice {
+struct FleetDevice {
     /// This device's fleet index, stamped into outcome events.
     index: u16,
-    /// Free-at instants of the actual service slots (the executing model,
-    /// distinct from the router's predictions).
-    slots: Vec<Cycle>,
-    /// Jitter stream, one draw per booking in booking order — the same
-    /// stream [`run_fast_device`] would consume in a fault-free run.
-    rng: SimRng,
-    /// Unresolved placements, in booking order.
+    /// The executing service model, distinct from the router's
+    /// predictions. Detailed-tier devices run it un-jittered, only to
+    /// decide which bookings a crash claims.
+    model: SlotModel,
+    detailed: bool,
+    /// Whether to buffer outcome events (an observer is attached).
+    collect: bool,
+    /// Straggler windows `(at, until, factor)` of this device.
+    windows: Vec<(Cycle, Cycle, f64)>,
+    /// `Down` transitions still ahead in the fault plan. At zero no crash
+    /// can claim a booking, so it resolves as it is made: a fault-free run
+    /// never holds one.
+    downs_ahead: u32,
+    /// Placements a later crash may still claim, in booking order.
     bookings: Vec<Booking>,
-    /// Detailed tier: bookings that survived to completion, awaiting
-    /// phase-2 materialization.
+    /// Detailed tier: resolved bookings, in booking order, awaiting the
+    /// device's simulation.
     survivors: Vec<Booking>,
     sketch: StreamingQuantiles,
     completed: u64,
@@ -1628,12 +1368,15 @@ struct ChaosDevice {
     outcomes: Vec<OutcomeEvent>,
 }
 
-impl ChaosDevice {
-    fn new(index: u16, slots: usize, seed: u64) -> Self {
-        ChaosDevice {
+impl FleetDevice {
+    fn new(index: u16, params: &FastDeviceParams, detailed: bool, collect: bool) -> Self {
+        FleetDevice {
             index,
-            slots: vec![Cycle::ZERO; slots],
-            rng: SimRng::seed_from(seed),
+            model: SlotModel::new(params),
+            detailed,
+            collect,
+            windows: Vec::new(),
+            downs_ahead: 0,
             bookings: Vec::new(),
             survivors: Vec::new(),
             sketch: StreamingQuantiles::new(),
@@ -1649,46 +1392,19 @@ impl ChaosDevice {
         }
     }
 
-    /// Books one placement, mirroring [`run_fast_device`]'s service
-    /// arithmetic exactly (same jitter draw, same slot selection) so a
-    /// no-op fault plan reproduces the fault-free run bit for bit; active
+    /// Books one placement entering at `entry`. On the fast tier, active
     /// straggler windows at the start instant stretch the service time.
-    fn book(
-        &mut self,
-        jitter: f64,
-        windows: &[(Cycle, Cycle, f64)],
-        detailed: bool,
-        entry: Cycle,
-        job: &RetryJob,
-    ) {
-        let service = if detailed || jitter == 0.0 {
-            job.service_est
-        } else {
-            let m = 1.0 - jitter + 2.0 * jitter * self.rng.uniform_f64();
-            job.service_est.mul_f64(m)
-        };
-        let slot = self.slots.iter_mut().min().expect("at least one slot");
-        let start = (*slot).max(entry);
-        let service = if detailed {
-            service
-        } else {
-            let factor: f64 = windows
+    fn book(&mut self, entry: Cycle, job: &RetryJob) {
+        let windows = if self.detailed { &[][..] } else { &self.windows[..] };
+        let (start, completion) = self.model.book(entry, job.service_est, |start| {
+            windows
                 .iter()
                 .filter(|&&(at, until, _)| at <= start && start < until)
                 .map(|&(_, _, f)| f)
-                .product();
-            // Apply only a real stretch: `mul_f64(1.0)` is arithmetically
-            // a no-op but must also be one bit-for-bit.
-            if factor != 1.0 {
-                service.mul_f64(factor)
-            } else {
-                service
-            }
-        };
-        let completion = start + service;
-        *slot = completion;
+                .product()
+        });
         self.booked += 1;
-        self.bookings.push(Booking {
+        let b = Booking {
             id: job.id,
             original_arrival: job.original_arrival,
             entry,
@@ -1698,13 +1414,28 @@ impl ChaosDevice {
             service_est: job.service_est,
             attempt: job.attempt,
             spec: job.spec,
-        });
+        };
+        if self.downs_ahead == 0 {
+            self.resolve(b);
+        } else {
+            self.bookings.push(b);
+        }
+    }
+
+    /// Resolves a booking no crash can claim: the fast tier completes it,
+    /// the detailed tier keeps it for the device's simulation.
+    fn resolve(&mut self, b: Booking) {
+        if self.detailed {
+            self.survivors.push(b);
+        } else {
+            self.complete(&b);
+        }
     }
 
     /// Resolves one fast-tier booking as completed, attributing a typed
     /// cause when it blew its deadline (and, when collecting, buffering
     /// the completion/miss events).
-    fn complete(&mut self, b: &Booking, collect: bool) {
+    fn complete(&mut self, b: &Booking) {
         let latency = b.completion.saturating_since(b.original_arrival);
         let met = b.completion <= b.deadline_abs;
         self.sketch.push(latency.as_us_f64());
@@ -1713,9 +1444,8 @@ impl ChaosDevice {
         self.makespan = self.makespan.max(b.completion);
         self.events += 2;
         if !met {
-            // Same split as the plain fast path: late although the
-            // (stretched) service alone fit the deadline budget means the
-            // job died waiting for a slot.
+            // Late although the (stretched) service alone fit the deadline
+            // budget means the job died waiting for a slot.
             let cause = if b.completion.saturating_since(b.start)
                 <= b.deadline_abs.saturating_since(b.original_arrival)
             {
@@ -1724,7 +1454,7 @@ impl ChaosDevice {
                 MissCause::ServiceTime
             };
             self.misses.add(cause);
-            if collect {
+            if self.collect {
                 self.outcomes.push(OutcomeEvent {
                     at: b.completion,
                     job: b.id,
@@ -1737,7 +1467,7 @@ impl ChaosDevice {
                 });
             }
         }
-        if collect {
+        if self.collect {
             self.outcomes.push(OutcomeEvent {
                 at: b.completion,
                 job: b.id,
@@ -1776,39 +1506,28 @@ fn emit_outcomes(hub: &mut ProbeHub<ProbeEvent>, mut outcomes: Vec<OutcomeEvent>
     }
 }
 
-/// Cluster-scope identity of one detailed-tier job, for
-/// [`attribute_detailed`]: the fields the device-local [`JobRecord`]
-/// does not know.
-#[derive(Clone, Copy)]
-struct DetailedJob {
-    /// Cluster-wide job id (the record's id is device-local).
-    cluster_id: u32,
-    /// Calibrated isolated service estimate of the job's chain.
-    service_est: Duration,
-    /// Relative deadline against the *original* arrival.
-    deadline: Duration,
-    /// Device the job ran on.
-    device: u16,
-    /// Time a chaos-path retry already burned before entering this device
-    /// (zero on the plain path), included in the reported latency like
-    /// the sketch's.
-    requeue: Duration,
-}
-
-/// Classifies one detailed-tier job record: a `JobCompleted` event for
-/// every finished job, and exactly one typed miss for every job that did
-/// not make its deadline. Late completions (and scheduler aborts) split on
-/// whether the calibrated service estimate alone fit the relative
-/// deadline — queueing delay if it did, service time if not; admission
-/// rejections are `DeviceReject`.
+/// Classifies one detailed-tier job record of booking `b` on `device` into
+/// `slice`: its latency, a `JobCompleted` event for a finished job, and
+/// exactly one typed miss for a job that did not make its deadline. Late
+/// completions (and scheduler aborts) split on whether the calibrated
+/// service estimate alone fit the relative deadline — queueing delay if it
+/// did, service time if not; admission rejections are `DeviceReject`.
+///
+/// Latency is arrival-to-completion of the *original* job, so a retry pays
+/// for its first, doomed placement too.
 fn attribute_detailed(
     r: &JobRecord,
-    job: &DetailedJob,
-    misses: &mut MissBreakdown,
-    outcomes: Option<&mut Vec<OutcomeEvent>>,
+    b: &Booking,
+    device: u16,
+    slice: &mut DeviceSlice,
+    collect: bool,
 ) {
-    let DetailedJob { cluster_id, service_est, deadline, device, requeue } = *job;
-    let slow = if service_est <= deadline {
+    let requeue = b.entry.saturating_since(b.original_arrival);
+    let deadline = b.deadline_abs.saturating_since(b.original_arrival);
+    if let Some(lat) = r.latency() {
+        slice.latency_us.push(lat.saturating_add(requeue).as_us_f64());
+    }
+    let slow = if b.service_est <= deadline {
         MissCause::QueueingDelay
     } else {
         MissCause::ServiceTime
@@ -1820,16 +1539,18 @@ fn attribute_detailed(
         JobFate::Unfinished => (r.deadline_abs, None, Some(slow)),
     };
     if let Some(cause) = cause {
-        misses.add(cause);
+        slice.misses.add(cause);
     }
-    let Some(outcomes) = outcomes else { return };
+    if !collect {
+        return;
+    }
     if let Some(t) = completion {
-        outcomes.push(OutcomeEvent {
+        slice.outcomes.push(OutcomeEvent {
             at: t,
-            job: cluster_id,
+            job: b.id,
             kind: 0,
             event: ProbeEvent::JobCompleted {
-                job: JobId(cluster_id),
+                job: JobId(b.id),
                 device,
                 latency_us: t.saturating_since(r.arrival).saturating_add(requeue).as_us_f64(),
                 met: r.met_deadline(),
@@ -1837,16 +1558,16 @@ fn attribute_detailed(
         });
     }
     if let Some(cause) = cause {
-        outcomes.push(OutcomeEvent {
+        slice.outcomes.push(OutcomeEvent {
             at,
-            job: cluster_id,
+            job: b.id,
             kind: 1,
-            event: ProbeEvent::JobMissed { job: JobId(cluster_id), device: Some(device), cause },
+            event: ProbeEvent::JobMissed { job: JobId(b.id), device: Some(device), cause },
         });
     }
 }
 
-/// What one device contributes to the merged report.
+/// What one detailed-tier device contributes to the merged report.
 #[derive(Debug, Clone, Default)]
 struct DeviceSlice {
     latency_us: StreamingQuantiles,
@@ -1855,7 +1576,6 @@ struct DeviceSlice {
     device_rejected: u64,
     makespan: Duration,
     events: u64,
-    jobs: u64,
     misses: MissBreakdown,
     /// Buffered completion/miss events; empty unless the run collected
     /// them (an observer was attached).
@@ -1893,8 +1613,7 @@ pub struct ClusterReport {
     /// Conserves exactly against the counters above — see
     /// [`MissBreakdown`] for the identities, the headline one being
     /// `misses.total() == total - met`. Computed on every run, observed or
-    /// not, by the same arithmetic in both run paths (a no-op fault plan
-    /// yields a bit-identical breakdown).
+    /// not.
     pub misses: MissBreakdown,
     /// Arrival-to-completion latency sketch over completed jobs,
     /// microseconds (p50/p99/p999 within 0.5% relative error).
@@ -2524,13 +2243,97 @@ mod tests {
         }
     }
 
+    /// An explicit zero fault intensity derives the empty plan, so the
+    /// report equals that of a scenario that never mentions faults.
     #[test]
-    fn intensity_zero_never_engages_the_chaos_engine() {
+    fn intensity_zero_matches_a_scenario_without_faults() {
         let s = scen("LL").with_fault_milli(0);
         assert_eq!(
             ClusterBuilder::new(s).run().unwrap(),
             ClusterBuilder::new(scen("LL")).run().unwrap()
         );
+    }
+
+    /// Records which device each arrival was routed to, in arrival order.
+    #[derive(Default)]
+    struct RouteLog(Vec<(u32, usize)>);
+
+    impl Observer<ProbeEvent> for RouteLog {
+        fn on_event(&mut self, _at: Cycle, event: &ProbeEvent) {
+            if let ProbeEvent::JobRouted { job, device, .. } = event {
+                self.0.push((job.0, usize::from(*device)));
+            }
+        }
+    }
+
+    /// The engine's inline fast tier against the reference device model:
+    /// replay each device's routed stream through [`run_fast_device`] with
+    /// the same slots, jitter and device seed, and merge the per-device
+    /// results in device order as the report does. Two slots per device at
+    /// the high rate keep queues long and LL's admission test firing.
+    #[test]
+    fn fast_tier_matches_run_fast_device_for_every_policy() {
+        for policy in routing::names() {
+            let s = ClusterScenario::new(policy, Benchmark::Hybrid, ArrivalRate::High, 4, 2000, 7);
+            let builder = ClusterBuilder::new(s.clone()).slots(2);
+            let log = Arc::new(Mutex::new(RouteLog::default()));
+            let report = builder.clone().observe(log.clone()).run().unwrap();
+            let jobs = generate_cluster_jobs(&s, BenchmarkSuite::calibrated());
+            let deadline = s.bench.deadline();
+            let mut streams: Vec<Vec<FleetJob>> = vec![Vec::new(); s.devices];
+            for &(id, device) in &log.lock().unwrap().0 {
+                let j = &jobs[id as usize];
+                streams[device].push(FleetJob {
+                    id,
+                    arrival: j.arrival,
+                    service_est: j.service_est,
+                    deadline,
+                });
+            }
+            let mut latency_us = StreamingQuantiles::new();
+            let (mut completed, mut met, mut events) = (0u64, 0u64, 0u64);
+            let mut makespan = Duration::ZERO;
+            for (d, stream) in streams.iter().enumerate() {
+                let params =
+                    FastDeviceParams { slots: 2, jitter: builder.jitter, seed: s.device_seed(d) };
+                let r = run_fast_device(stream, &params);
+                let mut sketch = StreamingQuantiles::new();
+                for o in &r.outcomes {
+                    sketch.push(o.latency.as_us_f64());
+                    met += u64::from(o.met);
+                }
+                latency_us.merge(&sketch);
+                completed += r.outcomes.len() as u64;
+                makespan = makespan.max(r.makespan.saturating_since(Cycle::ZERO));
+                events += r.events;
+            }
+            if policy == "LL" {
+                assert!(report.rejected > 0, "LL's admission test must fire");
+            }
+            assert_eq!(completed + report.rejected, report.total, "{policy}");
+            assert_eq!(report.completed, completed, "{policy}: completed");
+            assert_eq!(report.met, met, "{policy}: met");
+            assert_eq!(report.makespan, makespan, "{policy}: makespan");
+            assert_eq!(report.events, events, "{policy}: events");
+            assert_eq!(report.latency_us, latency_us, "{policy}: latency sketch");
+            let routed: Vec<u64> = streams.iter().map(|st| st.len() as u64).collect();
+            assert_eq!(report.per_device_jobs, routed, "{policy}: per-device jobs");
+        }
+    }
+
+    #[test]
+    fn zero_slots_is_a_typed_error() {
+        let err = ClusterBuilder::new(scen("LL")).slots(0).run().unwrap_err();
+        assert_eq!(err, BenchError::FleetConfig(FastDeviceError::NoSlots));
+        assert!(err.to_string().contains("at least one service slot"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_jitter_is_a_typed_error() {
+        let s = scen("RR").with_fault_milli(1000);
+        let err = ClusterBuilder::new(s).jitter(1.5).run().unwrap_err();
+        assert_eq!(err, BenchError::FleetConfig(FastDeviceError::Jitter(1.5)));
+        assert!(err.to_string().contains("jitter must be in [0, 1), got 1.5"), "{err}");
     }
 
     /// A crash window over the middle of the stream on half the fleet.

@@ -217,6 +217,8 @@ pub enum BenchError {
     Io(String),
     /// The cluster scenario's fleet fault plan is ill-formed for the fleet.
     FleetFault(FleetFaultError),
+    /// A cluster builder's service slots or jitter are out of range.
+    FleetConfig(FastDeviceError),
     /// A declarative scenario file failed to parse or validate
     /// ([`workloads::scenario`]).
     Scenario(workloads::scenario::ScenarioFileError),
@@ -237,6 +239,7 @@ impl fmt::Display for BenchError {
             BenchError::Callback(msg) => write!(f, "progress callback panicked: {msg}"),
             BenchError::Io(msg) => write!(f, "I/O error: {msg}"),
             BenchError::FleetFault(e) => write!(f, "invalid fleet fault plan: {e}"),
+            BenchError::FleetConfig(e) => write!(f, "invalid fleet configuration: {e}"),
             BenchError::Scenario(e) => write!(f, "{e}"),
         }
     }
@@ -249,6 +252,7 @@ impl std::error::Error for BenchError {
             BenchError::UnknownPolicy(e) => Some(e),
             BenchError::Sim(e) => Some(e),
             BenchError::FleetFault(e) => Some(e),
+            BenchError::FleetConfig(e) => Some(e),
             BenchError::Scenario(e) => Some(e),
             _ => None,
         }
@@ -276,6 +280,12 @@ impl From<SimError> for BenchError {
 impl From<FleetFaultError> for BenchError {
     fn from(e: FleetFaultError) -> Self {
         BenchError::FleetFault(e)
+    }
+}
+
+impl From<FastDeviceError> for BenchError {
+    fn from(e: FastDeviceError) -> Self {
+        BenchError::FleetConfig(e)
     }
 }
 

@@ -138,6 +138,104 @@ pub struct FastDeviceParams {
     pub seed: u64,
 }
 
+impl FastDeviceParams {
+    /// Checks the knobs a device can run with.
+    ///
+    /// # Errors
+    ///
+    /// [`FastDeviceError::NoSlots`] when `slots` is zero;
+    /// [`FastDeviceError::Jitter`] when `jitter` is outside `[0, 1)`.
+    pub fn validate(&self) -> Result<(), FastDeviceError> {
+        if self.slots == 0 {
+            return Err(FastDeviceError::NoSlots);
+        }
+        if !(0.0..1.0).contains(&self.jitter) {
+            return Err(FastDeviceError::Jitter(self.jitter));
+        }
+        Ok(())
+    }
+}
+
+/// Typed rejection from [`FastDeviceParams::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FastDeviceError {
+    /// Zero service slots.
+    NoSlots,
+    /// A jitter half-width outside `[0, 1)` (or NaN).
+    Jitter(f64),
+}
+
+impl fmt::Display for FastDeviceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FastDeviceError::NoSlots => write!(f, "a device needs at least one service slot"),
+            FastDeviceError::Jitter(j) => write!(f, "jitter must be in [0, 1), got {j}"),
+        }
+    }
+}
+
+impl std::error::Error for FastDeviceError {}
+
+/// The fast tier's service model of one device: the free-at instant of
+/// each slot and the seeded jitter stream. [`run_fast_device`] and the
+/// cluster engine both book through it, so the slot selection and the
+/// jitter arithmetic exist once.
+#[derive(Debug, Clone)]
+pub struct SlotModel {
+    free_at: Vec<Cycle>,
+    jitter: f64,
+    rng: SimRng,
+}
+
+impl SlotModel {
+    /// An idle device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` fails [`FastDeviceParams::validate`].
+    pub fn new(params: &FastDeviceParams) -> Self {
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
+        SlotModel {
+            free_at: vec![Cycle::ZERO; params.slots],
+            jitter: params.jitter,
+            rng: SimRng::seed_from(params.seed),
+        }
+    }
+
+    /// Books one job entering at `entry`, returning its `(start,
+    /// completion)`. Draws one jitter multiplier per booking (none at
+    /// jitter 0), takes the earliest-free slot, and stretches the service
+    /// by `stretch(start)` unless that is exactly 1.0 — `mul_f64(1.0)` is
+    /// arithmetically a no-op but must also be one bit for bit.
+    pub fn book(
+        &mut self,
+        entry: Cycle,
+        service_est: Duration,
+        stretch: impl FnOnce(Cycle) -> f64,
+    ) -> (Cycle, Cycle) {
+        let service = if self.jitter == 0.0 {
+            service_est
+        } else {
+            let m = 1.0 - self.jitter + 2.0 * self.jitter * self.rng.uniform_f64();
+            service_est.mul_f64(m)
+        };
+        let slot = self.free_at.iter_mut().min().expect("at least one slot");
+        let start = (*slot).max(entry);
+        let factor = stretch(start);
+        let service = if factor != 1.0 { service.mul_f64(factor) } else { service };
+        let completion = start + service;
+        *slot = completion;
+        (start, completion)
+    }
+
+    /// Frees every slot at `t`: a restored device restarts empty.
+    pub fn reset(&mut self, t: Cycle) {
+        self.free_at.fill(t);
+    }
+}
+
 /// What one fast-tier device reports back to the cluster merger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FastDeviceReport {
@@ -164,15 +262,7 @@ pub struct FastDeviceReport {
 /// Panics if `params.slots == 0`, `params.jitter` is outside `[0, 1)`, or
 /// jobs are not sorted by arrival.
 pub fn run_fast_device(jobs: &[FleetJob], params: &FastDeviceParams) -> FastDeviceReport {
-    assert!(params.slots >= 1, "a device needs at least one service slot");
-    assert!(
-        (0.0..1.0).contains(&params.jitter),
-        "jitter must be in [0, 1), got {}",
-        params.jitter
-    );
-    let mut rng = SimRng::seed_from(params.seed);
-    // Free-at instants of each slot; jobs take the earliest-free slot.
-    let mut slots = vec![Cycle::ZERO; params.slots];
+    let mut model = SlotModel::new(params);
     let mut outcomes = Vec::with_capacity(jobs.len());
     let mut busy = Duration::ZERO;
     let mut makespan = Cycle::ZERO;
@@ -180,17 +270,8 @@ pub fn run_fast_device(jobs: &[FleetJob], params: &FastDeviceParams) -> FastDevi
     for job in jobs {
         assert!(job.arrival >= last_arrival, "jobs must be sorted by arrival");
         last_arrival = job.arrival;
-        let service = if params.jitter == 0.0 {
-            job.service_est
-        } else {
-            let m = 1.0 - params.jitter + 2.0 * params.jitter * rng.uniform_f64();
-            job.service_est.mul_f64(m)
-        };
-        let slot = slots.iter_mut().min().expect("at least one slot");
-        let start = (*slot).max(job.arrival);
-        let completion = start + service;
-        *slot = completion;
-        busy = busy.saturating_add(service);
+        let (start, completion) = model.book(job.arrival, job.service_est, |_| 1.0);
+        busy = busy.saturating_add(completion.saturating_since(start));
         makespan = makespan.max(completion);
         outcomes.push(FleetOutcome {
             id: job.id,
@@ -752,6 +833,18 @@ mod tests {
     fn unsorted_jobs_are_rejected() {
         let jobs = [job(0, 100, 10, 1000), job(1, 0, 10, 1000)];
         run_fast_device(&jobs, &quiet(1));
+    }
+
+    #[test]
+    fn device_params_validate_slots_and_jitter() {
+        assert_eq!(quiet(1).validate(), Ok(()));
+        assert_eq!(FastDeviceParams { jitter: 0.99, ..quiet(4) }.validate(), Ok(()));
+        assert_eq!(quiet(0).validate(), Err(FastDeviceError::NoSlots));
+        for jitter in [1.0, 1.5, -0.1] {
+            let err = FastDeviceParams { jitter, ..quiet(1) }.validate().unwrap_err();
+            assert_eq!(err, FastDeviceError::Jitter(jitter));
+        }
+        assert!(FastDeviceParams { jitter: f64::NAN, ..quiet(1) }.validate().is_err());
     }
 
     #[test]

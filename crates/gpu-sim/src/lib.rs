@@ -117,8 +117,8 @@ pub mod prelude {
     };
     pub use crate::fleet::{
         run_fast_device, CorrelatedOutage, DeviceCrash, DeviceDrain, DeviceHealth,
-        FastDeviceParams, FastDeviceReport, Fidelity, FleetFaultError, FleetFaultPlan, FleetJob,
-        FleetOutcome, StragglerWindow,
+        FastDeviceError, FastDeviceParams, FastDeviceReport, Fidelity, FleetFaultError,
+        FleetFaultPlan, FleetJob, FleetOutcome, SlotModel, StragglerWindow,
     };
     pub use crate::fleet_obs::{FleetSampler, FleetTraceWriter};
     pub use crate::host::{HostCmd, HostEvent, HostScheduler, HostView};

@@ -17,7 +17,6 @@
 //! * [`json`] — string escaping and a strict syntax validator for the
 //!   hand-rolled JSON trace emitters (std-only workspace, no serde).
 //! * [`table`] — plain-text result tables for the experiment binaries.
-//! * [`chart`] — terminal bar charts for quick visual comparisons.
 //!
 //! Everything here is deliberately independent of the GPU model so it can be
 //! reused by any event-driven simulator.
@@ -43,7 +42,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod chart;
 pub mod event;
 pub mod json;
 pub mod probe;

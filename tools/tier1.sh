@@ -121,6 +121,20 @@ assert rows >= 8, rows
 EOF
 echo "   chaos grid conserves jobs and is byte-identical across workers and resume"
 
+echo "== tier1: detailed-tier fleet smoke + worker-count byte-identity =="
+# Detailed-tier devices each run a full simulation and are the fleet
+# engine's only parallel fan-out, so the tables must come out
+# byte-identical for any --jobs N, fault-free and under fleet faults.
+DETAILED_CELLS=(RR:IPV6:high:d4:j400:s7 LL:IPV6:high:d4:j400:s7)
+for n in 1 8; do
+    "$CLUSTER_BIN" "${DETAILED_CELLS[@]}" --fidelity detailed --jobs "$n" --out "$TMP/dcl$n.txt"
+    "$CHAOS_BIN" "${DETAILED_CELLS[@]/%/:f1}" --fidelity detailed --jobs "$n" --out "$TMP/dch$n.txt"
+done
+cmp "$TMP/dcl1.txt" "$TMP/dcl8.txt"
+cmp "$TMP/dch1.txt" "$TMP/dch8.txt"
+grep -q "fidelity: detailed" "$TMP/dcl1.txt"
+echo "   detailed-tier cluster and chaos tables are byte-identical across worker counts"
+
 echo "== tier1: DAG sweep smoke + kill-and-resume + worker byte-identity =="
 DAG_BIN=target/release/dag
 # The graph-structured grid (2 schedulers x FANOUT x low rate). DAG cell
