@@ -20,7 +20,7 @@ use std::error::Error;
 use std::fs;
 use std::io::Write;
 
-use lax_bench::sweep;
+use lax_bench::{sweep, Checkpoint};
 
 /// Where interrupted runs park their finished cells.
 const CHECKPOINT: &str = "results/all.ckpt";
@@ -42,19 +42,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         .unwrap_or(128);
     let dir = "results";
     fs::create_dir_all(dir)?;
-    if !resume {
-        // A fresh run must not silently adopt cells from an older one.
-        if fs::remove_file(CHECKPOINT).is_ok() {
-            eprintln!("[all] discarded stale checkpoint {CHECKPOINT} (run with --resume to keep it)");
-        }
-    }
+    let checkpoint = Checkpoint::resume(CHECKPOINT, resume, "all");
     eprintln!("[all] sweeping on {jobs} worker thread(s)");
     let t0 = std::time::Instant::now();
 
     save(dir, "table1", &lax_bench::figures::table1())?;
     save(dir, "fig1", &lax_bench::figures::fig1())?;
 
-    let mut db = lax_bench::ResultsDb::new().verbose().with_checkpoints(CHECKPOINT);
+    let mut db = lax_bench::ResultsDb::new().verbose().with_checkpoint(checkpoint);
     save(dir, "fig7", &lax_bench::figures::fig7(&mut db, jobs)?)?;
     save(dir, "fig8", &lax_bench::figures::fig8(&mut db, jobs)?)?;
     save(dir, "fig9", &lax_bench::figures::fig9(&mut db, jobs)?)?;
@@ -83,7 +78,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         writeln!(f, "\n{profile}")?;
     }
     if let Some(ck) = db.checkpoint() {
-        ck.discard_file()?;
+        ck.discard_file();
     }
     eprintln!("[all] done in {wall:?} ({} cells cached)", db.len());
     Ok(())

@@ -35,29 +35,12 @@ use std::error::Error;
 use std::fs;
 use std::path::PathBuf;
 
-use lax_bench::cluster::{chaos_table, ClusterBuilder, ClusterCheckpoint, ClusterScenario};
+use lax_bench::checkpoint::{restore_or_run, Checkpoint};
+use lax_bench::cluster::{chaos_table, ClusterBuilder, ClusterScenario};
 use lax_bench::profile::FleetProfile;
-use lax_bench::sweep;
+use lax_bench::sweep::{self, take_flag, take_value};
 use sim_core::time::Duration;
 use workloads::spec::{ArrivalRate, Benchmark};
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
 
 /// Parses one `--intensities` entry into milli-units (`1.5` → 1500).
 fn parse_milli(v: &str) -> Result<u32, Box<dyn Error>> {
@@ -141,22 +124,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
 
-    let mut checkpoint = ckpt_path.as_ref().map(|p| {
-        if !resume && fs::remove_file(p).is_ok() {
-            eprintln!(
-                "[chaos] discarded stale checkpoint {} (run with --resume to keep it)",
-                p.display()
-            );
-        }
-        ClusterCheckpoint::open(p)
-    });
-    if let Some(ckpt) = checkpoint.as_ref().filter(|c| !c.is_empty()) {
-        eprintln!(
-            "[chaos] resuming: {} cell(s) restored from {}",
-            ckpt.len(),
-            ckpt.path().display()
-        );
-    }
+    let mut checkpoint = ckpt_path.map(|p| Checkpoint::resume(p, resume, "chaos"));
     eprintln!(
         "[chaos] {} fidelity, {} cell(s) x {n_jobs} job(s) on {jobs} worker thread(s)",
         fidelity,
@@ -164,48 +132,49 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     let t0 = std::time::Instant::now();
     let mut profile = FleetProfile::new("chaos");
-    let mut reports = Vec::with_capacity(scenarios.len());
-    for scenario in &scenarios {
-        let key = scenario.to_string();
-        if let Some(report) = checkpoint.as_ref().and_then(|c| c.get(&key)) {
-            eprintln!("[chaos] {key}: restored from checkpoint");
-            reports.push(report.clone());
-            continue;
-        }
-        let cell_t0 = std::time::Instant::now();
-        let mut builder = ClusterBuilder::new(scenario.clone())
-            .fidelity(fidelity)
-            .workers(jobs)
-            .shed_degraded(shed);
-        if let Some(s) = &scheduler {
-            builder = builder.device_scheduler(s);
-        }
-        if let Some(s) = slots {
-            builder = builder.slots(s);
-        }
-        if let Some(j) = jitter {
-            builder = builder.jitter(j);
-        }
-        if let Some(b) = retry_budget {
-            builder = builder.retry_budget(b);
-        }
-        if let Some(us) = backoff_us {
-            builder = builder.retry_backoff(Duration::from_us(us));
-        }
-        let report = builder.run()?;
-        profile.record(&key, report.total, report.events, cell_t0.elapsed());
-        eprintln!(
-            "[chaos] {key}: attain {:.4}, lost {}, retried {} in {:?}",
-            report.attainment(),
-            report.lost,
-            report.retried,
-            cell_t0.elapsed()
-        );
-        if let Some(ckpt) = checkpoint.as_mut() {
-            ckpt.record(&key, &report)?;
-        }
-        reports.push(report);
-    }
+    let keys: Vec<String> = scenarios.iter().map(ToString::to_string).collect();
+    // One cell at a time: a cell fans its own devices across the workers.
+    let reports = restore_or_run(
+        checkpoint.as_mut(),
+        &keys,
+        1,
+        |i| {
+            let mut builder = ClusterBuilder::new(scenarios[i].clone())
+                .fidelity(fidelity)
+                .workers(jobs)
+                .shed_degraded(shed);
+            if let Some(s) = &scheduler {
+                builder = builder.device_scheduler(s);
+            }
+            if let Some(s) = slots {
+                builder = builder.slots(s);
+            }
+            if let Some(j) = jitter {
+                builder = builder.jitter(j);
+            }
+            if let Some(b) = retry_budget {
+                builder = builder.retry_budget(b);
+            }
+            if let Some(us) = backoff_us {
+                builder = builder.retry_backoff(Duration::from_us(us));
+            }
+            builder.run()
+        },
+        |i, result, wall| {
+            if let Ok(report) = result {
+                profile.record(&keys[i], report.total, report.events, wall);
+                eprintln!(
+                    "[chaos] {}: attain {:.4}, lost {}, retried {} in {wall:?}",
+                    keys[i],
+                    report.attainment(),
+                    report.lost,
+                    report.retried
+                );
+            }
+        },
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     let mut text = String::new();
     text.push_str("# Fleet robustness: SLO attainment under injected failure domains\n");
@@ -223,8 +192,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     fs::write(&out, &text)?;
     let results_dir = out.parent().filter(|d| !d.as_os_str().is_empty());
     profile.write_artifacts(results_dir.unwrap_or_else(|| std::path::Path::new(".")), 10)?;
-    if let Some(ckpt) = checkpoint.as_ref() {
-        ckpt.discard_file()?;
+    if let Some(ckpt) = checkpoint {
+        ckpt.discard_file();
     }
     eprintln!("[chaos] wrote {} in {:?}", out.display(), t0.elapsed());
     Ok(())

@@ -29,26 +29,9 @@ use std::path::PathBuf;
 
 use lax_bench::figures::{dag, DagSweep};
 use lax_bench::scenario_file::run_scenario_file;
-use lax_bench::{sweep, Checkpoint};
+use lax_bench::sweep::{self, take_flag, take_value};
+use lax_bench::Checkpoint;
 use workloads::scenario::ScenarioFile;
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
 
 fn main() -> Result<(), Box<dyn Error>> {
     let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
@@ -100,20 +83,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     let grid = if smoke { DagSweep::smoke() } else { DagSweep::full() };
-    if !resume && fs::remove_file(&ckpt).is_ok() {
-        eprintln!(
-            "[dag] discarded stale checkpoint {} (run with --resume to keep it)",
-            ckpt.display()
-        );
-    }
-    let mut checkpoint = Checkpoint::open(&ckpt);
-    if !checkpoint.is_empty() {
-        eprintln!(
-            "[dag] resuming: {} cell(s) restored from {}",
-            checkpoint.len(),
-            ckpt.display()
-        );
-    }
+    let mut checkpoint = Checkpoint::resume(&ckpt, resume, "dag");
     let total = grid.schedulers.len() * grid.benches.len() * grid.rates.len();
     eprintln!(
         "[dag] {} grid: {total} cells on {jobs} worker thread(s)",
@@ -127,7 +97,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
     fs::write(&out, &text)?;
-    checkpoint.discard_file()?;
+    checkpoint.discard_file();
     eprintln!("[dag] wrote {} in {:?}", out.display(), t0.elapsed());
     Ok(())
 }

@@ -24,25 +24,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use lax_bench::figures::{faults, FaultSweep};
-use lax_bench::{sweep, Checkpoint};
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
+use lax_bench::sweep::{self, take_flag, take_value};
+use lax_bench::Checkpoint;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
@@ -59,20 +42,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
     let grid = if smoke { FaultSweep::smoke() } else { FaultSweep::full() };
 
-    if !resume && fs::remove_file(&ckpt).is_ok() {
-        eprintln!(
-            "[faults] discarded stale checkpoint {} (run with --resume to keep it)",
-            ckpt.display()
-        );
-    }
-    let mut checkpoint = Checkpoint::open(&ckpt);
-    if !checkpoint.is_empty() {
-        eprintln!(
-            "[faults] resuming: {} cell(s) restored from {}",
-            checkpoint.len(),
-            ckpt.display()
-        );
-    }
+    let mut checkpoint = Checkpoint::resume(&ckpt, resume, "faults");
     let total =
         grid.schedulers.len() * grid.benches.len() * grid.intensities.len();
     eprintln!(
@@ -87,7 +57,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
     fs::write(&out, &text)?;
-    checkpoint.discard_file()?;
+    checkpoint.discard_file();
     eprintln!("[faults] wrote {} in {:?}", out.display(), t0.elapsed());
     Ok(())
 }

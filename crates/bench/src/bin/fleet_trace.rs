@@ -31,27 +31,9 @@ use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::{FleetSampler, FleetTraceWriter};
 use lax_bench::cluster::{ClusterBuilder, ClusterScenario};
-use lax_bench::sweep;
+use lax_bench::sweep::{self, take_flag, take_value};
 use sim_core::json;
 use sim_core::time::Duration;
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
 
 /// Validates a JSON artifact and writes it, creating parent directories.
 fn write_json(path: &Path, doc: &str) -> Result<(), Box<dyn Error>> {

@@ -17,9 +17,9 @@ use workloads::spec::{ArrivalRate, Benchmark};
 use workloads::suite::BenchmarkSuite;
 use workloads::table1;
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{restore_or_run, Checkpoint, SweepCell};
 use crate::runner::ResultsDb;
-use crate::sweep::{par_map, par_map_with, run_cell_opts, BenchError, Scenario, SweepOptions};
+use crate::sweep::{par_map, run_cell_opts, BenchError, Scenario, SweepOptions};
 
 /// Schedulers of Figure 6 (CPU-side study), excluding the RR baseline
 /// column itself.
@@ -394,49 +394,22 @@ impl FaultSweep {
 pub fn faults(
     sweep: &FaultSweep,
     workers: usize,
-    mut checkpoint: Option<&mut Checkpoint>,
+    checkpoint: Option<&mut Checkpoint<SweepCell>>,
 ) -> Result<String, BenchError> {
     let cells = sweep.cells();
-    let mut reports: Vec<Option<SimReport>> = vec![None; cells.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    for (idx, (key, _, _)) in cells.iter().enumerate() {
-        match checkpoint.as_ref().and_then(|ck| ck.get(key)) {
-            Some(report) => reports[idx] = Some(report.clone()),
-            None => missing.push(idx),
-        }
-    }
-    let mut first_err: Option<BenchError> = None;
-    if !missing.is_empty() {
-        let results = par_map_with(
-            &missing,
-            workers,
-            |&idx| {
-                let (_, scenario, intensity) = &cells[idx];
-                run_cell_opts(scenario, &SweepOptions::new(1).fault_intensity(*intensity))
-            },
-            |i, r: &Result<SimReport, BenchError>, _| {
-                if let (Ok(report), Some(ck)) = (r, checkpoint.as_deref_mut()) {
-                    if let Err(e) = ck.record(&cells[missing[i]].0, report) {
-                        eprintln!("warning: checkpoint write failed: {e}");
-                    }
-                }
-            },
-        );
-        for (&idx, result) in missing.iter().zip(results) {
-            match result {
-                Ok(report) => reports[idx] = Some(report),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    let keys: Vec<String> = cells.iter().map(|c| c.0.clone()).collect();
+    let run = |i: usize| {
+        let (_, scenario, intensity) = &cells[i];
+        run_cell_opts(scenario, &SweepOptions::new(1).fault_intensity(*intensity))
+            .map(SweepCell::from)
+    };
+    let reports: Vec<SimReport> = restore_or_run(checkpoint, &keys, workers, run, |_, _, _| {})
+        .into_iter()
+        .map(|r| r.map(|cell| cell.report))
+        .collect::<Result<_, _>>()?;
     let met = |sched: usize, bench: usize, inten: usize| -> usize {
         let idx = (sched * sweep.benches.len() + bench) * sweep.intensities.len() + inten;
-        reports[idx].as_ref().expect("all cells ran").deadlines_met()
+        reports[idx].deadlines_met()
     };
     // Ratio vs the scheduler's own clean (intensity-0) cell, with the
     // 0-over-0 -> 1.0 convention normalized bar charts use.
@@ -561,46 +534,18 @@ impl DagSweep {
 pub fn dag(
     sweep: &DagSweep,
     workers: usize,
-    mut checkpoint: Option<&mut Checkpoint>,
+    checkpoint: Option<&mut Checkpoint<SweepCell>>,
 ) -> Result<String, BenchError> {
     let cells = sweep.cells();
-    let mut reports: Vec<Option<SimReport>> = vec![None; cells.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    for (idx, (key, _)) in cells.iter().enumerate() {
-        match checkpoint.as_ref().and_then(|ck| ck.get(key)) {
-            Some(report) => reports[idx] = Some(report.clone()),
-            None => missing.push(idx),
-        }
-    }
-    let mut first_err: Option<BenchError> = None;
-    if !missing.is_empty() {
-        let results = par_map_with(
-            &missing,
-            workers,
-            |&idx| run_cell_opts(&cells[idx].1, &SweepOptions::new(1)),
-            |i, r: &Result<SimReport, BenchError>, _| {
-                if let (Ok(report), Some(ck)) = (r, checkpoint.as_deref_mut()) {
-                    if let Err(e) = ck.record(&cells[missing[i]].0, report) {
-                        eprintln!("warning: checkpoint write failed: {e}");
-                    }
-                }
-            },
-        );
-        for (&idx, result) in missing.iter().zip(results) {
-            match result {
-                Ok(report) => reports[idx] = Some(report),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    let keys: Vec<String> = cells.iter().map(|c| c.0.clone()).collect();
+    let run = |i: usize| run_cell_opts(&cells[i].1, &SweepOptions::new(1)).map(SweepCell::from);
+    let reports: Vec<SimReport> = restore_or_run(checkpoint, &keys, workers, run, |_, _, _| {})
+        .into_iter()
+        .map(|r| r.map(|cell| cell.report))
+        .collect::<Result<_, _>>()?;
     let cell = |sched: usize, bench: usize, rate: usize| -> &SimReport {
         let idx = (sched * sweep.benches.len() + bench) * sweep.rates.len() + rate;
-        reports[idx].as_ref().expect("all cells ran")
+        &reports[idx]
     };
     let mut out = format!(
         "DAG workloads: deadline-met counts on graph-structured jobs\n\
@@ -652,7 +597,7 @@ mod tests {
         let mut ck = Checkpoint::open(&path);
         let full = faults(&grid, 2, Some(&mut ck)).unwrap();
         assert_eq!(full, serial);
-        let partial_cells: Vec<(String, SimReport)> = ck
+        let partial_cells: Vec<(String, SweepCell)> = ck
             .cells()
             .take(2)
             .map(|(k, r)| (k.to_string(), r.clone()))
@@ -660,11 +605,46 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         let mut partial = Checkpoint::open(&path);
         for (k, r) in &partial_cells {
-            partial.record(k, r).unwrap();
+            partial.record(k, r);
         }
         let resumed = faults(&grid, 2, Some(&mut partial)).unwrap();
         assert_eq!(resumed, serial, "resume from a partial checkpoint must be byte-identical");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn faults_resume_from_a_damaged_checkpoint_is_byte_identical() {
+        let grid = FaultSweep::smoke();
+        let path = std::env::temp_dir().join(format!("lax-faults-damaged-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let clean = faults(&grid, 2, Some(&mut Checkpoint::open(&path))).unwrap();
+        // Flip a byte in the first cell's block and tear the last cell's
+        // block in half, as a bad disk and a crash mid-copy would.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first_job = bytes.windows(5).position(|w| w == b"\njob ").unwrap();
+        bytes[first_job + 5] ^= 0x01;
+        let last_cell = bytes.windows(6).rposition(|w| w == b"\ncell ").unwrap();
+        bytes.truncate(last_cell + (bytes.len() - last_cell) / 2);
+        std::fs::write(&path, &bytes).unwrap();
+        let mut damaged = Checkpoint::open(&path);
+        assert_eq!(damaged.len(), grid.cells().len() - 2, "exactly the two damaged cells drop");
+        let resumed = faults(&grid, 2, Some(&mut damaged)).unwrap();
+        assert_eq!(resumed, clean, "resume from a damaged checkpoint must be byte-identical");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn faults_grid_completes_when_the_checkpoint_cannot_be_written() {
+        let grid = FaultSweep::smoke();
+        // The parent "directory" is a regular file: every write fails.
+        let parent = std::env::temp_dir().join(format!("lax-faults-nodir-{}", std::process::id()));
+        std::fs::write(&parent, "a file, not a directory").unwrap();
+        let mut ck = Checkpoint::open(parent.join("faults.ckpt"));
+        let text = faults(&grid, 2, Some(&mut ck)).unwrap();
+        assert_eq!(text, faults(&grid, 2, None).unwrap(), "the artifact ignores the failed writes");
+        assert_eq!(ck.len(), grid.cells().len(), "cells stay in memory");
+        ck.discard_file();
+        std::fs::remove_file(&parent).unwrap();
     }
 
     #[test]

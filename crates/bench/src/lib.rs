@@ -11,9 +11,10 @@
 //! bit-identical results regardless of thread count. The engine is
 //! self-healing — a panicking or runaway cell degrades to a typed
 //! [`BenchError`] after bounded retries instead of killing the grid — and
-//! long runs stream finished cells into a crash-safe [`checkpoint`] file
-//! so an interrupted `bin/all` or `bin/faults` restarted with `--resume`
-//! only re-runs what is missing, byte-identically.
+//! long runs stream finished cells into the one crash-safe [`checkpoint`]
+//! store, so an interrupted `all`, `faults`, `dag`, `cluster` or `chaos`
+//! grid restarted with `--resume` only re-runs what is missing,
+//! byte-identically.
 
 #![warn(missing_docs)]
 
@@ -26,7 +27,7 @@ pub mod runner;
 pub mod scenario_file;
 pub mod sweep;
 
-pub use checkpoint::Checkpoint;
+pub use checkpoint::{Checkpoint, SweepCell};
 pub use cluster::{ClusterBuilder, ClusterReport, ClusterScenario};
 pub use runner::ResultsDb;
 pub use sweep::{run_cell, BenchError, RunOptions, Scenario, SweepOptions};

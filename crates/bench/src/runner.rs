@@ -3,13 +3,12 @@
 //! process reuses the same runs.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use gpu_sim::prelude::*;
 use sim_core::table::{fmt_f, Table};
 use workloads::spec::{ArrivalRate, Benchmark};
 
-use crate::checkpoint::{CellProfile, Checkpoint};
+use crate::checkpoint::{restore_or_run, CellProfile, Checkpoint, SweepCell};
 use crate::sweep::{self, BenchError, Scenario, SweepOptions};
 
 /// Jobs per benchmark run (paper Section 5.3).
@@ -28,7 +27,7 @@ pub struct ResultsDb {
     n_jobs: usize,
     seed: u64,
     verbose: bool,
-    checkpoint: Option<Checkpoint>,
+    checkpoint: Option<Checkpoint<SweepCell>>,
 }
 
 impl ResultsDb {
@@ -55,51 +54,28 @@ impl ResultsDb {
         self
     }
 
-    /// Attaches a crash-safe checkpoint file: cells a previous run
+    /// Attaches a crash-safe checkpoint store: cells a previous run
     /// recorded there are preloaded into the cache (reports round-trip
     /// bit-exactly, so warmed figures stay byte-identical), and every cell
     /// finished from now on is persisted as soon as it lands. Keys whose
     /// string form does not parse back into a [`Scenario`] are ignored —
     /// they belong to other binaries sharing the format.
-    pub fn with_checkpoints(mut self, path: impl AsRef<Path>) -> Self {
-        let ck = Checkpoint::open(path.as_ref());
-        let mut restored = 0;
-        for (key, report) in ck.cells() {
+    pub fn with_checkpoint(mut self, checkpoint: Checkpoint<SweepCell>) -> Self {
+        for (key, cell) in checkpoint.cells() {
             if let Ok(scenario) = key.parse::<Scenario>() {
-                if let Some(profile) = ck.profile(key) {
+                if let Some(profile) = cell.profile {
                     self.profiles.insert(scenario.clone(), profile);
                 }
-                self.cache.insert(scenario, report.clone());
-                restored += 1;
+                self.cache.insert(scenario, cell.report.clone());
             }
         }
-        if self.verbose && restored > 0 {
-            eprintln!("[resume] restored {restored} cell(s) from {}", ck.path().display());
-        }
-        self.checkpoint = Some(ck);
+        self.checkpoint = Some(checkpoint);
         self
     }
 
     /// The attached checkpoint, if any.
-    pub fn checkpoint(&self) -> Option<&Checkpoint> {
+    pub fn checkpoint(&self) -> Option<&Checkpoint<SweepCell>> {
         self.checkpoint.as_ref()
-    }
-
-    /// Persists one finished cell to the checkpoint file, if one is
-    /// attached. Write failures are reported but never fail the sweep:
-    /// checkpointing is an accelerator for `--resume`, not a correctness
-    /// dependency.
-    fn persist(
-        checkpoint: &mut Option<Checkpoint>,
-        scenario: &Scenario,
-        report: &SimReport,
-        profile: CellProfile,
-    ) {
-        if let Some(ck) = checkpoint.as_mut() {
-            if let Err(e) = ck.record_profiled(&scenario.to_string(), report, profile) {
-                eprintln!("warning: checkpoint write failed: {e}");
-            }
-        }
     }
 
     /// The [`Scenario`] this database associates with a cell.
@@ -136,47 +112,52 @@ impl ResultsDb {
                 }
             }
         }
+        self.run_missing(missing, jobs)
+    }
+
+    /// Runs `missing` cells through the checkpoint's resume loop on `jobs`
+    /// worker threads, profiling and caching every good report.
+    fn run_missing(&mut self, missing: Vec<Scenario>, jobs: usize) -> Result<(), BenchError> {
         if missing.is_empty() {
             return Ok(());
         }
         let verbose = self.verbose;
         let opts = SweepOptions::new(jobs);
+        let keys: Vec<String> = missing.iter().map(Scenario::to_string).collect();
         let total = missing.len();
         let mut done = 0;
-        // Drive par_map_with directly (rather than run_sweep) so the
-        // completion callback sees each report and can checkpoint it the
-        // moment it lands — a kill -9 one cell before the end loses one
-        // cell, not the sweep.
-        let checkpoint = &mut self.checkpoint;
-        let profiles = &mut self.profiles;
-        let results = sweep::par_map_with(
-            &missing,
+        let results = restore_or_run(
+            self.checkpoint.as_mut(),
+            &keys,
             jobs,
-            |s| sweep::run_cell_profiled(s, &opts),
-            |i, (r, attempts): &(Result<SimReport, BenchError>, u32), cell_wall| {
+            |i| {
+                let t0 = std::time::Instant::now();
+                let (result, attempts) = sweep::run_cell_profiled(&missing[i], &opts);
+                let profile = CellProfile { wall: t0.elapsed(), retries: attempts - 1 };
+                result.map(|report| SweepCell { report, profile: Some(profile) })
+            },
+            |i, result, cell_wall| {
                 done += 1;
-                if let Ok(report) = r {
-                    let profile = CellProfile { wall: cell_wall, retries: attempts - 1 };
-                    profiles.insert(missing[i].clone(), profile);
-                    Self::persist(checkpoint, &missing[i], report, profile);
-                }
                 if verbose {
                     eprintln!(
                         "[sweep {:>3}/{}] {:<28} {} ({:.1?})",
                         done,
                         total,
-                        missing[i].to_string(),
-                        if r.is_ok() { "ok" } else { "FAILED" },
+                        keys[i],
+                        if result.is_ok() { "ok" } else { "FAILED" },
                         cell_wall
                     );
                 }
             },
         );
         let mut first_err = None;
-        for (scenario, (result, _)) in missing.into_iter().zip(results) {
+        for (scenario, result) in missing.into_iter().zip(results) {
             match result {
-                Ok(report) => {
-                    self.cache.insert(scenario, report);
+                Ok(cell) => {
+                    if let Some(profile) = cell.profile {
+                        self.profiles.insert(scenario.clone(), profile);
+                    }
+                    self.cache.insert(scenario, cell.report);
                 }
                 Err(e) => {
                     first_err.get_or_insert(e);
@@ -198,23 +179,7 @@ impl ResultsDb {
     pub fn get(&mut self, scheduler: &str, bench: Benchmark, rate: ArrivalRate) -> Result<&SimReport, BenchError> {
         let key = self.scenario(scheduler, bench, rate);
         if !self.cache.contains_key(&key) {
-            let t0 = std::time::Instant::now();
-            let report = sweep::run_cell(&key, &sweep::RunOptions::default())?;
-            let profile = CellProfile { wall: t0.elapsed(), retries: 0 };
-            self.profiles.insert(key.clone(), profile);
-            Self::persist(&mut self.checkpoint, &key, &report, profile);
-            if self.verbose {
-                eprintln!(
-                    "[run] {:<9} {:<7} {:<6} met {:>3}/{} ({:.1?})",
-                    scheduler,
-                    bench.name(),
-                    rate.name(),
-                    report.deadlines_met(),
-                    self.n_jobs,
-                    t0.elapsed()
-                );
-            }
-            self.cache.insert(key.clone(), report);
+            self.run_missing(vec![key.clone()], 1)?;
         }
         Ok(&self.cache[&key])
     }
@@ -495,7 +460,7 @@ mod tests {
     fn checkpointed_cells_resume_bit_identically() {
         let path = std::env::temp_dir().join(format!("lax-db-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let mut first = ResultsDb::with_jobs(4, 2).with_checkpoints(&path);
+        let mut first = ResultsDb::with_jobs(4, 2).with_checkpoint(Checkpoint::open(&path));
         first
             .warm(&["RR", "EDF"], &[Benchmark::Ipv6], &[ArrivalRate::Low], 2)
             .unwrap();
@@ -503,7 +468,7 @@ mod tests {
 
         // A new db over the same file starts fully warm — the resume path —
         // and serves reports bit-identical to a from-scratch run.
-        let mut resumed = ResultsDb::with_jobs(4, 2).with_checkpoints(&path);
+        let mut resumed = ResultsDb::with_jobs(4, 2).with_checkpoint(Checkpoint::open(&path));
         assert_eq!(resumed.len(), 2, "cells preloaded from the checkpoint");
         let mut fresh = ResultsDb::with_jobs(4, 2);
         for sched in ["RR", "EDF"] {
@@ -542,15 +507,15 @@ mod tests {
     fn foreign_checkpoint_keys_are_ignored_on_resume() {
         let path = std::env::temp_dir().join(format!("lax-db-foreign-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let mut ck = crate::checkpoint::Checkpoint::open(&path);
+        let mut ck = Checkpoint::open(&path);
         let report = sweep::run_cell(
             &Scenario::new("RR", Benchmark::Ipv6, ArrivalRate::Low, 2, 1),
             &sweep::RunOptions::default(),
         )
         .unwrap();
         // A fault-sweep style key: not a parseable Scenario.
-        ck.record("RR:IPV6:low:j2:s1:f0.5", &report).unwrap();
-        let db = ResultsDb::with_jobs(2, 1).with_checkpoints(&path);
+        ck.record("RR:IPV6:low:j2:s1:f0.5", &SweepCell::from(report));
+        let db = ResultsDb::with_jobs(2, 1).with_checkpoint(Checkpoint::open(&path));
         assert!(db.is_empty(), "suffixed keys belong to other binaries");
         std::fs::remove_file(&path).unwrap();
     }
@@ -559,7 +524,7 @@ mod tests {
     fn warm_profiles_every_cell_and_profiles_survive_resume() {
         let path = std::env::temp_dir().join(format!("lax-db-prof-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let mut db = ResultsDb::with_jobs(4, 2).with_checkpoints(&path);
+        let mut db = ResultsDb::with_jobs(4, 2).with_checkpoint(Checkpoint::open(&path));
         db.warm(&["RR", "EDF"], &[Benchmark::Ipv6], &[ArrivalRate::Low], 2).unwrap();
         assert_eq!(db.profiles().len(), 2, "every warmed cell gets a profile");
         for (s, p) in db.profiles() {
@@ -571,7 +536,7 @@ mod tests {
         assert!(summary.contains("slowest cells"), "{summary}");
         assert!(summary.contains("RR:IPV6:low:j4:s2"), "{summary}");
 
-        let resumed = ResultsDb::with_jobs(4, 2).with_checkpoints(&path);
+        let resumed = ResultsDb::with_jobs(4, 2).with_checkpoint(Checkpoint::open(&path));
         assert_eq!(resumed.profiles(), db.profiles(), "profiles restore from the checkpoint");
         assert_eq!(resumed.slowest_cells(1).len(), 1);
         std::fs::remove_file(&path).unwrap();

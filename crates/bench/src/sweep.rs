@@ -111,21 +111,35 @@ impl Scenario {
     /// figure 6–10 grids) would pick up workload sampling noise instead of
     /// scheduler differences.
     pub fn cell_seed(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(&self.seed.to_le_bytes());
-        eat(self.bench.name().as_bytes());
-        eat(b":");
-        eat(self.rate.name().as_bytes());
-        eat(&(self.n_jobs as u64).to_le_bytes());
-        h
+        let mut h = Fnv::new();
+        h.eat(&self.seed.to_le_bytes());
+        h.eat(self.bench.name().as_bytes());
+        h.eat(b":");
+        h.eat(self.rate.name().as_bytes());
+        h.eat(&(self.n_jobs as u64).to_le_bytes());
+        h.finish()
+    }
+}
+
+/// Incremental FNV-1a: the cell and device seed derivations and the
+/// checkpoint block checksum.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -503,6 +517,28 @@ pub fn jobs_from_cli(args: impl Iterator<Item = String>) -> (usize, Vec<String>)
         }
     }
     (jobs.unwrap_or_else(default_jobs), rest)
+}
+
+/// Removes `flag` and the value after it from `args`, returning the value.
+/// A trailing flag with no value is removed with a warning on stderr.
+pub fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let pos = args.iter().position(|a| a == flag)?;
+    if pos + 1 >= args.len() {
+        eprintln!("warning: {flag} is missing its value");
+        args.remove(pos);
+        return None;
+    }
+    let value = args.remove(pos + 1);
+    args.remove(pos);
+    Some(value)
+}
+
+/// Removes every occurrence of the boolean `flag` from `args`, returning
+/// whether it was present.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
 }
 
 /// Progress of a sweep, reported once per finished cell (on the calling

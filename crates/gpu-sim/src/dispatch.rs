@@ -15,7 +15,6 @@ use crate::exec;
 use crate::job::{JobFate, JobState};
 use crate::probe::ProbeEvent;
 use crate::state::SimState;
-use crate::timeline::TimelineKind;
 use crate::wave::KernelRun;
 
 /// Dispatcher state: the round-robin tie-break cursor plus reusable
@@ -97,7 +96,6 @@ fn finalize_abort(st: &mut SimState, fx: &mut Effects<'_>, q: usize, now: Cycle)
         }
     }
     st.shared.queue_of_job.remove(&a.job.id);
-    st.shared.mark(now, a.job.id, TimelineKind::Aborted);
     st.shared.resolve(a.job.id, JobFate::Aborted(now), now);
     cp_frontend::pump(st, fx, now);
 }
@@ -124,7 +122,6 @@ fn dispatch_queue(st: &mut SimState, fx: &mut Effects<'_>, q: usize, now: Cycle)
             None => {
                 let rk = st.exec.insert_run(KernelRun::new(q, id, kernel.clone(), kidx, now));
                 st.shared.queues[q].job_mut().stages[kidx].run = Some(rk);
-                st.shared.mark(now, id, TimelineKind::KernelStart(kidx));
                 st.shared.probes.emit_with(now, || ProbeEvent::KernelStarted {
                     job: id,
                     queue: q,

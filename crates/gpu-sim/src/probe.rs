@@ -26,7 +26,7 @@ use sim_core::probe::Observer;
 use sim_core::time::{Cycle, Duration};
 use sim_core::trace::TraceSeries;
 
-use crate::job::JobId;
+use crate::job::{JobFate, JobId};
 use crate::memory::AccessMix;
 use crate::slab::SlabKey;
 
@@ -82,6 +82,15 @@ pub enum ProbeEvent {
         /// `true` when the stage lies on the job's workgroup-weighted
         /// critical path (always `true` for chain jobs).
         critical: bool,
+    },
+    /// A job's fate was sealed: completed, rejected (by the CP or a
+    /// host-side scheduler) or aborted. Fired exactly once per resolved
+    /// job, whichever side scheduled it.
+    JobResolved {
+        /// The resolved job.
+        job: JobId,
+        /// Its terminal fate (never [`JobFate::Unfinished`]).
+        fate: JobFate,
     },
     /// A workgroup was placed on compute unit `cu`.
     WgDispatched {

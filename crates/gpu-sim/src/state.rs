@@ -30,7 +30,6 @@ use crate::probe::{MetricsSnapshot, ProbeEvent};
 use crate::queue::ComputeQueue;
 use crate::scheduler::{CpContext, CpScheduler, Occupancy};
 use crate::sim::{SchedulerMode, SimError};
-use crate::timeline::{Timeline, TimelineKind};
 
 /// Cross-cutting state every subsystem may use: the machine description,
 /// the compute queues, accounting, and observability. Not a subsystem —
@@ -45,7 +44,6 @@ pub(crate) struct Shared {
     pub(crate) records: Vec<JobRecord>,
     pub(crate) resolved: usize,
     pub(crate) queue_of_job: HashMap<JobId, usize>,
-    pub(crate) timeline: Option<Timeline>,
     pub(crate) probes: ProbeHub<ProbeEvent>,
     pub(crate) total_wgs: u64,
     pub(crate) last_resolution: Cycle,
@@ -55,22 +53,15 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Records a timeline entry for a real (non-synthetic) job.
-    pub(crate) fn mark(&mut self, now: Cycle, job: JobId, kind: TimelineKind) {
-        if job.0 < crate::host::SYNTH_BASE {
-            if let Some(t) = &mut self.timeline {
-                t.record(now, job, kind);
-            }
-        }
-    }
-
-    /// Seals a job's fate exactly once and advances the resolution count.
+    /// Seals a job's fate exactly once, advances the resolution count and
+    /// announces it on the probe bus.
     pub(crate) fn resolve(&mut self, id: JobId, fate: JobFate, now: Cycle) {
         let rec = &mut self.records[id.index()];
         debug_assert!(matches!(rec.fate, JobFate::Unfinished), "double resolution of {id:?}");
         rec.fate = fate;
         self.resolved += 1;
         self.last_resolution = now;
+        self.probes.emit_with(now, || ProbeEvent::JobResolved { job: id, fate });
     }
 
     /// Current compute/memory slowdown factor (1.0 outside fault windows).

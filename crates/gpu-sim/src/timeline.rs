@@ -1,13 +1,31 @@
-//! Per-job execution timelines: a lightweight recorder the simulation can
-//! attach to capture when each job arrived, was admitted or rejected,
-//! started and finished each kernel, and completed — plus a text Gantt
-//! renderer for eyeballing scheduler behaviour.
+//! Per-job execution timelines: a probe [`Observer`] that captures when
+//! each job arrived, was admitted or rejected, started and finished each
+//! kernel, and completed — plus a text Gantt renderer for eyeballing
+//! scheduler behaviour.
+//!
+//! Attach one through the probe bus and read it back after the run:
+//!
+//! ```
+//! use std::sync::{Arc, Mutex};
+//! use gpu_sim::prelude::*;
+//! use gpu_sim::timeline::Timeline;
+//!
+//! let timeline = Arc::new(Mutex::new(Timeline::new()));
+//! let mut sim = Simulation::builder()
+//!     .observe(Box::new(Arc::clone(&timeline)))
+//!     .build()
+//!     .unwrap();
+//! sim.run();
+//! assert!(timeline.lock().unwrap().events().is_empty(), "no jobs, no events");
+//! ```
 
 use std::fmt::Write as _;
 
+use sim_core::probe::Observer;
 use sim_core::time::{Cycle, Duration};
 
-use crate::job::JobId;
+use crate::job::{JobFate, JobId};
+use crate::probe::ProbeEvent;
 
 /// What happened to a job at a point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,8 +176,13 @@ impl Timeline {
                 .find(|e| matches!(e.kind, TimelineKind::Rejected | TimelineKind::Aborted))
                 .map(|e| e.at);
             let span = self.execution_span(job);
+            // A job whose kernels ran under synthetic host-launch ids has no
+            // kernel span; its wait still ends when it completes.
+            let completed =
+                self.job_events(job).find(|e| e.kind == TimelineKind::Completed).map(|e| e.at);
             if let Some(a) = arrived {
-                let wait_end = span.map(|(s, _)| s).or(rejected).unwrap_or(horizon);
+                let wait_end =
+                    span.map(|(s, _)| s).or(rejected).or(completed).unwrap_or(horizon);
                 for c in &mut lane[col(a)..=col(wait_end)] {
                     *c = b'.';
                 }
@@ -180,6 +203,30 @@ impl Timeline {
             );
         }
         out
+    }
+}
+
+/// Maps the job-lifecycle probe events to timeline entries. Host-side
+/// schedulers launch kernels under synthetic job ids (2^30 and up); those
+/// are skipped, so every entry belongs to a real job.
+impl Observer<ProbeEvent> for Timeline {
+    fn on_event(&mut self, at: Cycle, event: &ProbeEvent) {
+        let (job, kind) = match *event {
+            ProbeEvent::JobArrived { job } => (job, TimelineKind::Arrived),
+            ProbeEvent::CpDecision { job, admitted: true, .. } => (job, TimelineKind::Admitted),
+            ProbeEvent::KernelStarted { job, kernel, .. } => (job, TimelineKind::KernelStart(kernel)),
+            ProbeEvent::KernelCompleted { job, kernel, .. } => (job, TimelineKind::KernelEnd(kernel)),
+            ProbeEvent::JobResolved { job, fate } => match fate {
+                JobFate::Completed(_) => (job, TimelineKind::Completed),
+                JobFate::Rejected(_) => (job, TimelineKind::Rejected),
+                JobFate::Aborted(_) => (job, TimelineKind::Aborted),
+                JobFate::Unfinished => return,
+            },
+            _ => return,
+        };
+        if job.0 < crate::host::SYNTH_BASE {
+            self.record(at, job, kind);
+        }
     }
 }
 
@@ -223,6 +270,20 @@ mod tests {
         tl.record(t(2), JobId(2), TimelineKind::Rejected);
         let g = tl.render_gantt(4, Duration::from_us(1));
         assert!(g.contains('X'));
+    }
+
+    #[test]
+    fn gantt_ends_waiting_at_completion_without_a_kernel_span() {
+        // Host launches record no kernel span for the real job; its lane
+        // must still stop at completion, not run on to the horizon.
+        let mut tl = Timeline::new();
+        tl.record(t(0), JobId(0), TimelineKind::Arrived);
+        tl.record(t(0), JobId(1), TimelineKind::Arrived);
+        tl.record(t(3), JobId(0), TimelineKind::Completed);
+        tl.record(t(9), JobId(1), TimelineKind::Completed);
+        let g = tl.render_gantt(4, Duration::from_us(1));
+        assert!(g.contains("job    0 |....      |"), "{g}");
+        assert!(g.contains("job    1 |..........|"), "{g}");
     }
 
     #[test]

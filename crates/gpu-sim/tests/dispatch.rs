@@ -237,13 +237,18 @@ fn round_robin_interleaves_equal_priority_queues() {
 
 #[test]
 fn timeline_records_the_job_lifecycle() {
-    use gpu_sim::timeline::TimelineKind;
+    use gpu_sim::timeline::{Timeline, TimelineKind};
+    use std::sync::Mutex;
     let jobs = vec![job(0, vec![kernel(0, 1_500, 64), kernel(1, 1_500, 64)], 100_000, 3)];
-    let params = SimParams { record_timeline: true, ..SimParams::default() };
-    let mut sim =
-        Simulation::new(params, jobs, SchedulerMode::Cp(Box::new(RoundRobin::new()))).unwrap();
+    let timeline = Arc::new(Mutex::new(Timeline::new()));
+    let mut sim = Simulation::builder()
+        .jobs(jobs)
+        .scheduler(SchedulerMode::Cp(Box::new(RoundRobin::new())))
+        .observe(Box::new(Arc::clone(&timeline)))
+        .build()
+        .unwrap();
     sim.run();
-    let tl = sim.take_timeline().expect("timeline recorded");
+    let tl = timeline.lock().unwrap();
     let kinds: Vec<TimelineKind> = tl.job_events(JobId(0)).map(|e| e.kind).collect();
     assert_eq!(
         kinds,
@@ -260,8 +265,6 @@ fn timeline_records_the_job_lifecycle() {
     let (start, end) = tl.execution_span(JobId(0)).unwrap();
     assert!(start >= Cycle::ZERO + Duration::from_us(3));
     assert!(end > start);
-    // A second take returns None.
-    assert!(sim.take_timeline().is_none());
     // The Gantt renders without panicking.
     let g = tl.render_gantt(8, Duration::from_cycles(500));
     assert!(g.contains("job    0"));

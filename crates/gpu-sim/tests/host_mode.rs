@@ -225,3 +225,27 @@ fn batched_members_complete_together_with_split_attribution() {
     assert_eq!(r.records[0].wgs_executed, r.records[1].wgs_executed);
     assert_eq!(r.records[0].wgs_executed + r.records[1].wgs_executed, r.total_wgs as f64);
 }
+
+#[test]
+fn timeline_marks_completion_under_a_host_scheduler() {
+    use gpu_sim::timeline::{Timeline, TimelineKind};
+    use std::sync::Mutex;
+    // Host launches run under synthetic job ids, so the real job's lane
+    // holds its arrival and its resolution only; the completion must land
+    // at the instant the record says the job finished.
+    let jobs = vec![job(0, vec![kernel(0, 1_000, 64), kernel(0, 1_000, 64)], 10_000, 0)];
+    let timeline = Arc::new(Mutex::new(Timeline::new()));
+    let mut sim = Simulation::builder()
+        .jobs(jobs)
+        .scheduler(SchedulerMode::Host(Box::new(FifoHost)))
+        .observe(Box::new(Arc::clone(&timeline)))
+        .build()
+        .unwrap();
+    let r = sim.run();
+    let done = r.records[0].fate.completed_at().expect("completed");
+    let tl = timeline.lock().unwrap();
+    let events: Vec<(TimelineKind, Cycle)> =
+        tl.job_events(JobId(0)).map(|e| (e.kind, e.at)).collect();
+    assert_eq!(events, vec![(TimelineKind::Arrived, Cycle::ZERO), (TimelineKind::Completed, done)]);
+    assert!(tl.events().iter().all(|e| e.job == JobId(0)), "synthetic launch ids are skipped");
+}

@@ -8,9 +8,10 @@
 //! cargo run --release --example scheduling_story
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::*;
+use gpu_sim::timeline::Timeline;
 use lax::lax::{InitPriority, Lax, LaxConfig};
 
 /// A tiny one-CU machine with exactly two wavefront slots, so at most two
@@ -88,9 +89,10 @@ fn story_jobs() -> Vec<JobDesc> {
 }
 
 fn run(name: &str, mode: SchedulerMode) {
+    let timeline = Arc::new(Mutex::new(Timeline::new()));
     let mut sim = Simulation::builder()
         .config(tiny_gpu())
-        .record_timeline(true)
+        .observe(Box::new(Arc::clone(&timeline)))
         .jobs(story_jobs())
         .scheduler(mode)
         .build()
@@ -115,9 +117,7 @@ fn run(name: &str, mode: SchedulerMode) {
         );
     }
     println!("  story jobs on time: {met}/5");
-    if let Some(tl) = sim.take_timeline() {
-        print!("{}", tl.render_gantt(8, Duration::from_us(5)));
-    }
+    print!("{}", timeline.lock().unwrap().render_gantt(8, Duration::from_us(5)));
     println!();
 }
 

@@ -17,6 +17,22 @@ echo "== tier1: quickstart example smoke run =="
 # run the doorstep one end-to-end so a broken public API fails the gate.
 cargo run --release --example quickstart > /dev/null
 
+echo "== tier1: scheduling_story example smoke run (timeline Gantt) =="
+# The only user of the probe-bus Timeline: both of its runs (round-robin,
+# then LAX) must draw a Gantt in which some job has a running (`=`) lane.
+STORY="$(cargo run --release --example scheduling_story)"
+for section in "Round-robin" "LAX"; do
+    awk -v s="--- $section" '
+        index($0, s) == 1 { on = 1 }
+        on && /^$/ { exit }
+        on && /^job +[0-9]+ \|.*=/ { found = 1 }
+        END { exit !found }' <<< "$STORY" || {
+        echo "no running lane in the $section Gantt" >&2
+        exit 1
+    }
+done
+echo "   both Gantt charts show running lanes"
+
 echo "== tier1: cargo test -q (workspace) =="
 cargo test --workspace -q
 
